@@ -14,7 +14,7 @@ use dylect_cache::{CacheConfig, SetAssocCache};
 use dylect_compression::{bdi, fpc};
 use dylect_core::GroupMap;
 use dylect_dram::{Dram, DramConfig, DramOp, RequestClass};
-use dylect_memctl::FreeSpace;
+use dylect_memctl::{transfer, FreeSpace};
 use dylect_sim::{SchemeKind, System, SystemConfig};
 use dylect_sim_core::rng::{Rng, Zipf};
 use dylect_sim_core::{digest, prof};
@@ -84,6 +84,17 @@ fn bench_dram_access() {
     bench("dram_single_access", 100_000, || {
         let addr = MachineAddr::new(rng.next_below(1 << 30) / 64 * 64);
         t = dram.access(t, black_box(addr), DramOp::Read, RequestClass::Demand);
+    });
+    // A page migration's traffic: 64 reads of one page, then 64 writes of
+    // another, each a single-row batch.
+    let mut dram = Dram::new(DramConfig::paper(1 << 30, 8));
+    let pages = dram.config().geometry.capacity_pages();
+    let mut t = Time::ZERO;
+    let mut rng = Rng::new(4);
+    bench("dram_page_copy", 10_000, || {
+        let src = DramPageId::new(rng.next_below(pages));
+        let dst = DramPageId::new(rng.next_below(pages));
+        t = transfer::copy_page(&mut dram, t, black_box(src), dst, RequestClass::Migration);
     });
 }
 

@@ -34,8 +34,6 @@ pub mod mapping;
 mod scheduler;
 pub mod stats;
 
-use std::collections::HashMap;
-
 use dylect_sim_core::prof;
 use dylect_sim_core::snap::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
 use dylect_sim_core::{MachineAddr, Time};
@@ -58,7 +56,9 @@ pub struct Dram {
     queue: QueueStats,
     in_flight_reads: u64,
     in_flight_writes: u64,
-    completions: HashMap<ReqId, CompletionDetail>,
+    /// Drained, not yet taken completions. Access paths take theirs right
+    /// after draining, so the list stays short and is searched linearly.
+    completions: Vec<(ReqId, CompletionDetail)>,
     next_id: u64,
 }
 
@@ -76,7 +76,7 @@ impl Dram {
             queue: QueueStats::default(),
             in_flight_reads: 0,
             in_flight_writes: 0,
-            completions: HashMap::new(),
+            completions: Vec::new(),
             next_id: 0,
         }
     }
@@ -144,12 +144,7 @@ impl Dram {
         self.in_flight_reads = 0;
         self.in_flight_writes = 0;
         for ch in &mut self.channels {
-            if ch.has_pending() {
-                ch.drain(&mut self.stats);
-            }
-            for (id, detail) in ch.take_completions() {
-                self.completions.insert(id, detail);
-            }
+            ch.drain(&mut self.stats, &mut self.completions);
         }
     }
 
@@ -158,14 +153,15 @@ impl Dram {
     /// Returns `None` if the request was never submitted, not yet drained,
     /// or already taken.
     pub fn take_completion(&mut self, id: ReqId) -> Option<Time> {
-        self.completions.remove(&id).map(|d| d.done)
+        self.take_completion_detail(id).map(|d| d.done)
     }
 
     /// Takes the full completion detail (done time plus queue/service
     /// split) of a drained request — the attribution layer's view of a
     /// demand access.
     pub fn take_completion_detail(&mut self, id: ReqId) -> Option<CompletionDetail> {
-        self.completions.remove(&id)
+        let pos = self.completions.iter().position(|&(i, _)| i == id)?;
+        Some(self.completions.swap_remove(pos).1)
     }
 
     /// Serializes timing/scheduler state. Call only at a quiescent point:
@@ -241,18 +237,25 @@ impl Dram {
         class: RequestClass,
     ) -> Time {
         let _p = prof::sampled_scope(prof::HostPhase::DramAccess);
-        let ids: Vec<ReqId> = addrs
-            .into_iter()
-            .map(|(a, op)| self.submit(arrival, a, op, class))
-            .collect();
-        if ids.is_empty() {
+        // Ids are handed out in order, so this batch owns every id from
+        // `first` on; earlier completions stay for their own takers.
+        let first = self.next_id;
+        for (a, op) in addrs {
+            self.submit(arrival, a, op, class);
+        }
+        if self.next_id == first {
             return arrival;
         }
         self.drain();
-        ids.into_iter()
-            .map(|id| self.take_completion(id).expect("just drained"))
-            .max()
-            .expect("non-empty batch")
+        let mut done = Time::ZERO;
+        self.completions.retain(|&(id, d)| {
+            let own = id.0 >= first;
+            if own {
+                done = done.max(d.done);
+            }
+            !own
+        });
+        done
     }
 
     /// Estimates energy consumed by `elapsed` simulated time with the

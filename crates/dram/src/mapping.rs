@@ -28,15 +28,44 @@ pub struct Location {
 }
 
 /// The static address-mapping function.
+///
+/// Every field of the layout is a power of two, so decoding is a chain of
+/// shifts and masks; the shifts are precomputed from the geometry.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct AddressMapper {
     geometry: DramGeometry,
+    column_shift: u32,
+    bank_shift: u32,
+    rank_shift: u32,
+    row_shift: u32,
 }
 
 impl AddressMapper {
     /// Creates a mapper for the given geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the channel, rank, bank or blocks-per-row count is not a
+    /// power of two.
     pub fn new(geometry: DramGeometry) -> Self {
-        AddressMapper { geometry }
+        let bits = |name: &str, n: u64| {
+            assert!(
+                n.is_power_of_two(),
+                "address mapping needs a power-of-two {name} count, got {n}"
+            );
+            n.trailing_zeros()
+        };
+        let column_shift = bits("channel", geometry.channels as u64);
+        let bank_shift = column_shift + bits("blocks-per-row", geometry.blocks_per_row());
+        let rank_shift = bank_shift + bits("bank", geometry.banks_total() as u64);
+        let row_shift = rank_shift + bits("rank", geometry.ranks as u64);
+        AddressMapper {
+            geometry,
+            column_shift,
+            bank_shift,
+            rank_shift,
+            row_shift,
+        }
     }
 
     /// Returns the geometry this mapper was built for.
@@ -56,22 +85,14 @@ impl AddressMapper {
             addr.raw() < g.capacity_bytes(),
             "address {addr} beyond capacity"
         );
-        let mut x = addr.block_index();
-        let channel = (x % g.channels as u64) as u32;
-        x /= g.channels as u64;
-        let column = x % g.blocks_per_row();
-        x /= g.blocks_per_row();
-        let bank = (x % g.banks_total() as u64) as u32;
-        x /= g.banks_total() as u64;
-        let rank = (x % g.ranks as u64) as u32;
-        x /= g.ranks as u64;
-        let row = x;
+        let x = addr.block_index();
+        let field = |lo: u32, hi: u32| (x >> lo) & ((1u64 << (hi - lo)) - 1);
         Location {
-            channel,
-            rank,
-            bank,
-            row,
-            column,
+            channel: field(0, self.column_shift) as u32,
+            rank: field(self.rank_shift, self.row_shift) as u32,
+            bank: field(self.bank_shift, self.rank_shift) as u32,
+            row: x >> self.row_shift,
+            column: field(self.column_shift, self.bank_shift),
         }
     }
 }
@@ -116,6 +137,52 @@ mod tests {
             let loc = m.decode(MachineAddr::new(i * BLOCK_BYTES * 97 % (1 << 30)));
             assert!(seen.insert((loc.channel, loc.rank, loc.bank, loc.row, loc.column)));
         }
+    }
+
+    /// The Ro:Ra:Ba:Co:Ch layout as a mixed-radix div/mod chain.
+    fn decode_div_mod(g: &DramGeometry, addr: MachineAddr) -> Location {
+        let mut x = addr.block_index();
+        let channel = (x % g.channels as u64) as u32;
+        x /= g.channels as u64;
+        let column = x % g.blocks_per_row();
+        x /= g.blocks_per_row();
+        let bank = (x % g.banks_total() as u64) as u32;
+        x /= g.banks_total() as u64;
+        let rank = (x % g.ranks as u64) as u32;
+        x /= g.ranks as u64;
+        Location {
+            channel,
+            rank,
+            bank,
+            row: x,
+            column,
+        }
+    }
+
+    #[test]
+    fn shift_decode_matches_div_mod_over_a_sample() {
+        let mut geometries = vec![
+            DramGeometry::ddr4_with_capacity(1 << 30, 8),
+            DramGeometry::ddr4_with_capacity(1 << 30, 16),
+        ];
+        let mut multi = DramGeometry::ddr4_with_capacity(1 << 30, 4);
+        multi.channels = 2;
+        multi.rows /= 2;
+        geometries.push(multi);
+        for g in geometries {
+            let m = AddressMapper::new(g);
+            let mut rng = dylect_sim_core::rng::Rng::new(0xADD2);
+            for _ in 0..20_000 {
+                let addr = MachineAddr::new(rng.next_below(g.capacity_bytes()));
+                assert_eq!(m.decode(addr), decode_div_mod(&g, addr), "{addr} in {g:?}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "power-of-two rank count, got 6")]
+    fn rejects_non_power_of_two_ranks() {
+        let _ = AddressMapper::new(DramGeometry::ddr4_with_capacity(6 << 20, 6));
     }
 
     #[test]

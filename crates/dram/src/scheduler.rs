@@ -8,6 +8,11 @@
 //! buffer hit cap" from the paper's Table 3. Bank-level parallelism emerges
 //! from per-bank ready times; the shared data bus serializes bursts; rank
 //! refresh windows block their rank for `tRFC` every `tREFI`.
+//!
+//! A batch whose requests all share one arrival, op and row — every page or
+//! span transfer — leaves FR-FCFS no choice to make, so it is issued in one
+//! pass in exactly the order the general loop would pick
+//! ([`ChannelScheduler::drain`] documents why).
 
 use dylect_sim_core::snap::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
 use dylect_sim_core::Time;
@@ -94,7 +99,6 @@ pub(crate) struct ChannelScheduler {
     bus_free: Time,
     sched_time: Time,
     pending: Vec<Pending>,
-    completions: Vec<(ReqId, CompletionDetail)>,
 }
 
 impl ChannelScheduler {
@@ -111,16 +115,11 @@ impl ChannelScheduler {
             bus_free: Time::ZERO,
             sched_time: Time::ZERO,
             pending: Vec::new(),
-            completions: Vec::new(),
         }
     }
 
     pub fn submit(&mut self, req: Pending) {
         self.pending.push(req);
-    }
-
-    pub fn has_pending(&self) -> bool {
-        !self.pending.is_empty()
     }
 
     fn bank_index(&self, loc: &Location) -> usize {
@@ -181,8 +180,44 @@ impl ChannelScheduler {
             .map(|(_, i)| i)
     }
 
-    /// Schedules every pending request to completion.
-    pub fn drain(&mut self, stats: &mut DramStats) {
+    /// Schedules every pending request to completion, appending one
+    /// `(id, detail)` per request to `out`.
+    ///
+    /// When every pending request has the same arrival, op and
+    /// rank/bank/row, FR-FCFS has nothing to choose: all candidates fall in
+    /// one hit/read category with equal arrivals, so `select` always picks
+    /// index 0, `swap_remove(0)` makes the issue order 0, N−1, N−2, …, 1,
+    /// and `t = max(sched_time, arrival)` stays fixed. That batch is issued
+    /// in that order in one pass, with the same `issue` calls and so the
+    /// same bank, bus, refresh and statistics state as
+    /// [`ChannelScheduler::drain_fr_fcfs`], which handles everything else.
+    pub fn drain(&mut self, stats: &mut DramStats, out: &mut Vec<(ReqId, CompletionDetail)>) {
+        let Some(&first) = self.pending.first() else {
+            return;
+        };
+        let single_row = self.pending.iter().all(|p| {
+            p.arrival == first.arrival
+                && p.op == first.op
+                && p.loc.rank == first.loc.rank
+                && p.loc.bank == first.loc.bank
+                && p.loc.row == first.loc.row
+        });
+        if !single_row {
+            self.drain_fr_fcfs(stats, out);
+            return;
+        }
+        let t = self.sched_time.max(first.arrival);
+        out.push((first.id, self.issue(t, &first, stats)));
+        for i in (1..self.pending.len()).rev() {
+            let req = self.pending[i];
+            out.push((req.id, self.issue(t, &req, stats)));
+        }
+        self.pending.clear();
+        self.sched_time = t;
+    }
+
+    /// The general FR-FCFS loop: each pick rescans the pending queue.
+    fn drain_fr_fcfs(&mut self, stats: &mut DramStats, out: &mut Vec<(ReqId, CompletionDetail)>) {
         while !self.pending.is_empty() {
             let min_arrival = self
                 .pending
@@ -194,7 +229,7 @@ impl ChannelScheduler {
             let idx = self.select(t).expect("candidate exists at or after t");
             let req = self.pending.swap_remove(idx);
             let detail = self.issue(t, &req, stats);
-            self.completions.push((req.id, detail));
+            out.push((req.id, detail));
             self.sched_time = t;
         }
     }
@@ -267,20 +302,16 @@ impl ChannelScheduler {
             service,
         }
     }
-
-    pub fn take_completions(&mut self) -> Vec<(ReqId, CompletionDetail)> {
-        std::mem::take(&mut self.completions)
-    }
 }
 
 // Snapshots are taken at window boundaries, where every submitted request
-// has been drained and its completion consumed — so `pending` and
-// `completions` are not serialized, only asserted empty. Timing/geometry
-// (`timing`, `row_hit_cap`, `banks_per_rank`) is construction state.
+// has been drained — so `pending` is not serialized, only asserted empty.
+// Timing/geometry (`timing`, `row_hit_cap`, `banks_per_rank`) is
+// construction state.
 impl Snapshot for ChannelScheduler {
     fn write_snapshot(&self, w: &mut SnapWriter) {
         debug_assert!(
-            self.pending.is_empty() && self.completions.is_empty(),
+            self.pending.is_empty(),
             "channel snapshot requires a drained scheduler"
         );
         w.seq(self.banks.len());
@@ -329,7 +360,138 @@ impl Restore for ChannelScheduler {
         self.bus_free.restore_snapshot(r)?;
         self.sched_time.restore_snapshot(r)?;
         self.pending.clear();
-        self.completions.clear();
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dylect_sim_core::check::{forall, Gen};
+    use dylect_sim_core::prop_ensure_eq;
+
+    const RANKS: u64 = 2;
+    const BANKS: u64 = 2;
+    const ROWS: u64 = 3;
+    /// Long enough to cross several refresh windows (tREFI = 7.8 µs).
+    const SPAN_PS: u64 = 40_000_000;
+
+    fn request(g: &mut Gen, id: u64, arrival: Time, op: DramOp, loc: Location) -> Pending {
+        let class = if g.bool() {
+            RequestClass::Demand
+        } else {
+            RequestClass::Migration
+        };
+        Pending {
+            id: ReqId(id),
+            arrival,
+            loc,
+            op,
+            class,
+        }
+    }
+
+    fn random_op(g: &mut Gen) -> DramOp {
+        if g.bool() {
+            DramOp::Read
+        } else {
+            DramOp::Write
+        }
+    }
+
+    fn random_loc(g: &mut Gen) -> Location {
+        Location {
+            channel: 0,
+            rank: g.u64_below(RANKS) as u32,
+            bank: g.u64_below(BANKS) as u32,
+            row: g.u64_below(ROWS),
+            column: g.u64_below(128),
+        }
+    }
+
+    fn random_time(g: &mut Gen) -> Time {
+        Time::from_ps(g.u64_below(SPAN_PS))
+    }
+
+    /// A batch of 1–128 requests: a single-row run, a single-row run with
+    /// one request off in one field, or a fully mixed batch.
+    fn random_batch(g: &mut Gen, next_id: &mut u64) -> Vec<Pending> {
+        let n = g.range(1, 128);
+        let arrival = random_time(g);
+        let op = random_op(g);
+        let loc = random_loc(g);
+        let shape = g.u64_below(3);
+        let mut batch: Vec<Pending> = (0..n)
+            .map(|_| {
+                *next_id += 1;
+                if shape == 2 {
+                    let (arrival, op, loc) = (random_time(g), random_op(g), random_loc(g));
+                    request(g, *next_id, arrival, op, loc)
+                } else {
+                    let loc = Location {
+                        column: g.u64_below(128),
+                        ..loc
+                    };
+                    request(g, *next_id, arrival, op, loc)
+                }
+            })
+            .collect();
+        if shape == 1 {
+            let i = g.u64_below(n) as usize;
+            let p = &mut batch[i];
+            match g.u64_below(5) {
+                0 => p.arrival += Time::from_ps(g.range(1, 20_000)),
+                1 => {
+                    p.op = match p.op {
+                        DramOp::Read => DramOp::Write,
+                        DramOp::Write => DramOp::Read,
+                    }
+                }
+                2 => p.loc.rank = (p.loc.rank + 1) % RANKS as u32,
+                3 => p.loc.bank = (p.loc.bank + 1) % BANKS as u32,
+                _ => p.loc.row = (p.loc.row + 1) % ROWS,
+            }
+        }
+        batch
+    }
+
+    fn snapshot_bytes(s: &impl Snapshot) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        s.write_snapshot(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn one_pass_drain_matches_the_fr_fcfs_loop() {
+        let cfg = DramConfig::paper(1 << 30, RANKS as u32);
+        forall("one-pass drain == FR-FCFS loop", 256, |g| {
+            // Pre-warm: open rows, build hit streaks, advance the bus and
+            // the refresh schedule through the general loop.
+            let mut warm = ChannelScheduler::new(&cfg);
+            let mut stats = DramStats::default();
+            let mut sink = Vec::new();
+            let mut next_id = 0;
+            for _ in 0..g.u64_below(6) {
+                for p in random_batch(g, &mut next_id) {
+                    warm.submit(p);
+                }
+                warm.drain_fr_fcfs(&mut stats, &mut sink);
+            }
+            let batch = random_batch(g, &mut next_id);
+            let (mut fast, mut slow) = (warm.clone(), warm);
+            let (mut fast_stats, mut slow_stats) = (stats.clone(), stats);
+            for &p in &batch {
+                fast.submit(p);
+                slow.submit(p);
+            }
+            let (mut fast_out, mut slow_out) = (Vec::new(), Vec::new());
+            fast.drain(&mut fast_stats, &mut fast_out);
+            slow.drain_fr_fcfs(&mut slow_stats, &mut slow_out);
+            prop_ensure_eq!(fast_out, slow_out);
+            prop_ensure_eq!(fast_stats, slow_stats);
+            prop_ensure_eq!(snapshot_bytes(&fast_stats), snapshot_bytes(&slow_stats));
+            prop_ensure_eq!(snapshot_bytes(&fast), snapshot_bytes(&slow));
+            Ok(())
+        });
     }
 }

@@ -332,6 +332,15 @@ mod tests {
         dir
     }
 
+    /// Points later dumps at a temp dir. Once a test has installed the
+    /// panic hook, every later panic in this test process dumps — the
+    /// `#[should_panic]` tests elsewhere in the crate included — and must
+    /// not write into the source tree.
+    fn park_dumps_in_temp() {
+        set_dump_dir(std::env::temp_dir().join(format!("dylect-blackbox-{}", std::process::id())));
+        set_label("sim-core-unit-tests");
+    }
+
     #[test]
     fn kind_indices_are_dense_and_names_unique() {
         let mut names = std::collections::BTreeSet::new();
@@ -396,7 +405,7 @@ mod tests {
             text.contains("\"kind\": \"digest_mismatch\", \"a\": 7, \"b\": 28672"),
             "{text}"
         );
-        set_dump_dir(PathBuf::from("results/blackbox"));
+        park_dumps_in_temp();
         std::fs::remove_dir_all(&dir).ok();
         reset();
     }
@@ -421,7 +430,7 @@ mod tests {
         assert!(!text.is_empty());
         assert!(text.contains("\"reason\": \"panic\""), "{text}");
         assert!(text.contains("\"kind\": \"batch_retire\""), "{text}");
-        set_dump_dir(PathBuf::from("results/blackbox"));
+        park_dumps_in_temp();
         std::fs::remove_dir_all(&dir).ok();
         reset();
     }

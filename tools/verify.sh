@@ -8,8 +8,26 @@ cd "$(dirname "$0")/.."
 echo "== cargo build --release --offline"
 cargo build --release --offline
 
+# `cargo test` must leave the source tree as it found it: no stray crash
+# dumps, caches or exports under crates/. Compared before/after so that
+# uncommitted edits of one's own do not trip it.
+tree_state() {
+    if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+        git status --porcelain --untracked-files=all -- crates
+    fi
+}
+TREE_BEFORE=$(tree_state)
+
 echo "== cargo test -q --offline"
 cargo test -q --offline
+
+echo "== cargo test leaves crates/ clean"
+TREE_AFTER=$(tree_state)
+if [ "$TREE_BEFORE" != "$TREE_AFTER" ]; then
+    echo "cargo test changed files under crates/:"
+    diff <(echo "$TREE_BEFORE") <(echo "$TREE_AFTER") || true
+    exit 1
+fi
 
 echo "== cargo fmt --check"
 cargo fmt --check

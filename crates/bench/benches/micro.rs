@@ -177,24 +177,16 @@ fn bench_end_to_end() {
         black_box(&sys);
     });
 
-    // Intra-run sharding variants: the same workload split across two
-    // memory controllers, draining their writeback queues sequentially vs
-    // on two worker threads. Reports are byte-identical across the pair
-    // (tests/determinism.rs pins it); only wall-clock may differ.
-    for (name, jobs) in [
-        ("system_step_1000_2mc_seq", 1),
-        ("system_step_1000_2mc_jobs2", 2),
-    ] {
-        let mut cfg = SystemConfig::quick(&spec, SchemeKind::dylect(), CompressionSetting::High);
-        cfg.memory_controllers = 2;
-        let mut sys = System::new(cfg, &spec);
-        sys.set_jobs(jobs);
-        sys.run(50_000, 1);
-        bench(name, 50, || {
-            sys.execute(1000);
-            black_box(&sys);
-        });
-    }
+    // The same workload split across two memory controllers, whose
+    // queued writebacks drain at the run loop's drain boundaries.
+    let mut cfg = SystemConfig::quick(&spec, SchemeKind::dylect(), CompressionSetting::High);
+    cfg.memory_controllers = 2;
+    let mut sys = System::new(cfg, &spec);
+    sys.run(50_000, 1);
+    bench("system_step_1000_2mc_seq", 50, || {
+        sys.execute(1000);
+        black_box(&sys);
+    });
 
     // Two-tenant co-schedule: one ASID-tagged core per tenant driving the
     // same memory side. The delta against `system_step_1000_ops` is the

@@ -1,12 +1,11 @@
 //! Digest-stability matrix and first-divergence bisection demo.
 //!
 //! Default mode: runs the shared three-scheme matrix (2 memory
-//! controllers) with state-digest capture forced on, once with 1 drain
-//! worker and once with 3 (`System::set_jobs`), and renders whether every
-//! per-window digest stream is byte-stable across worker counts — the
-//! observability counterpart of the determinism suite. Streams land under
-//! `--out DIR` (default `results/divergence`) as
-//! `<benchmark>-<scheme>-j<n>.digest.jsonl`.
+//! controllers) twice with state-digest capture forced on, and renders
+//! whether every per-window digest stream is byte-stable from run to run —
+//! the observability counterpart of the determinism suite. Streams land
+//! under `--out DIR` (default `results/divergence`) as
+//! `<benchmark>-<scheme>-run<n>.digest.jsonl`.
 //!
 //! `--bisect` instead demonstrates (and lets `tools/verify.sh` assert)
 //! the full localization pipeline on a known fault: a base run and a run
@@ -32,8 +31,8 @@ use dylect_sim_core::digest::{self, first_difference, DigestRecord};
 use dylect_workloads::{BenchmarkSpec, CompressionSetting};
 
 /// Retired-op index where `--bisect` injects its one-bit fault. A
-/// multiple of the 256-op drain batch, so the batched, per-op, and replay
-/// paths all fire it at the same op count; sits inside window 2, so
+/// multiple of the 256-op drain cadence, so the window run and the op
+/// replay fire it at the same op count; sits inside window 2, so
 /// window 1 pins the agreement prefix.
 const PERTURB_AT: u64 = 6_400;
 
@@ -42,8 +41,8 @@ const PERTURB_AT: u64 = 6_400;
 /// the coarse production default (`digest::DEFAULT_WINDOW_OPS`).
 const FIG_WINDOW: u64 = 4_096;
 
-/// Drain-worker counts the stability matrix compares.
-const JOBS: [usize; 2] = [1, 3];
+/// The stability matrix's two identical runs per scheme.
+const RUNS: [usize; 2] = [1, 2];
 
 fn write_stream(path: &Path, records: &[DigestRecord]) {
     let mut body = String::new();
@@ -165,34 +164,33 @@ fn main() {
         std::process::exit(bisect(&key, &out_dir) as i32);
     }
 
-    // Stability matrix: per-window digests must be byte-identical across
-    // drain-worker counts for every scheme.
-    type StreamsByJob = BTreeMap<(String, usize), Vec<DigestRecord>>;
-    let outputs: Arc<Mutex<StreamsByJob>> = Arc::default();
+    // Stability matrix: per-window digests must be byte-identical between
+    // two identical runs of every scheme.
+    type StreamsByRun = BTreeMap<(String, usize), Vec<DigestRecord>>;
+    let outputs: Arc<Mutex<StreamsByRun>> = Arc::default();
     let mut jobs = Vec::new();
     for scheme in [
         SchemeKind::tmcc(),
         SchemeKind::NaiveDynamic,
         SchemeKind::dylect(),
     ] {
-        for n_jobs in JOBS {
+        for run in RUNS {
             let key = RunKey::new(spec.clone(), scheme.clone(), setting, mode).with_mcs(2);
             let label = key.scheme.label();
             let outputs = outputs.clone();
             jobs.push(Job {
-                label: format!("{}/{label}/digest-j{n_jobs}", spec.name),
+                label: format!("{}/{label}/digest-run{run}", spec.name),
                 // A cache hit skips execution and would record no digests.
                 cache_name: None,
                 work: Box::new(move || {
                     let warmup = warmup_for(&key.spec, key.mode);
                     let mut sys = System::new(key.config(), &key.spec);
                     sys.set_digest_window(FIG_WINDOW);
-                    sys.set_jobs(n_jobs);
                     let report = sys.run(warmup, key.mode.measure_ops);
                     outputs
                         .lock()
                         .unwrap()
-                        .insert((label.clone(), n_jobs), sys.take_digests());
+                        .insert((label.clone(), run), sys.take_digests());
                     report
                 }),
             });
@@ -206,20 +204,20 @@ fn main() {
     for scheme in ["tmcc", "naive", "dylect"] {
         // Scheme labels come from SchemeKind::label(); look them up loosely
         // so a label tweak fails visibly rather than silently skipping.
-        let of_jobs = |n: usize| {
+        let of_run = |n: usize| {
             outputs
                 .iter()
-                .find(|((l, j), _)| l.contains(scheme) && *j == n)
+                .find(|((l, r), _)| l.contains(scheme) && *r == n)
                 .map(|(_, v)| v)
         };
-        let (Some(a), Some(b)) = (of_jobs(JOBS[0]), of_jobs(JOBS[1])) else {
+        let (Some(a), Some(b)) = (of_run(RUNS[0]), of_run(RUNS[1])) else {
             eprintln!("[fig_divergence] missing output for scheme {scheme}");
             unstable += 1;
             continue;
         };
-        for (n, stream) in [(JOBS[0], a), (JOBS[1], b)] {
+        for (n, stream) in [(RUNS[0], a), (RUNS[1], b)] {
             write_stream(
-                &out_dir.join(format!("{}-{scheme}-j{n}.digest.jsonl", spec.name)),
+                &out_dir.join(format!("{}-{scheme}-run{n}.digest.jsonl", spec.name)),
                 stream,
             );
         }
@@ -241,10 +239,10 @@ fn main() {
     }
     print_table(
         &format!(
-            "Digest stability across drain workers {{{},{}}} ({}, high compression, 2 MCs)",
-            JOBS[0], JOBS[1], spec.name
+            "Digest stability between two identical runs ({}, high compression, 2 MCs)",
+            spec.name
         ),
-        &["scheme", "windows", "j1 vs j3"],
+        &["scheme", "windows", "run1 vs run2"],
         &rows,
     );
     if unstable == 0 {

@@ -5,10 +5,10 @@
 //! time (picoseconds inside the modeled machine); this one runs the
 //! shared three-scheme benchmark matrix with the host profiler
 //! (`DYLECT_PROF=1`) armed and reports *host* time: wall-clock spent in
-//! batch fill vs. step, the sampled per-event subsystems (memory access,
-//! scheme directory, DRAM, TLB walks), writeback-drain worker busy time,
-//! and runner/export IO. It answers ROADMAP item 1 — which host-side
-//! phase owns the remaining ns/op after batching.
+//! the run loop, the sampled per-event subsystems (memory access, scheme
+//! directory, DRAM, TLB walks), writeback-drain busy time, and
+//! runner/export IO. It answers ROADMAP item 1 — which host-side phase
+//! owns the remaining ns/op.
 //!
 //! Two artifact classes land under `--out DIR` (default
 //! `results/selfprofile`):

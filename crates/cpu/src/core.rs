@@ -20,7 +20,7 @@ use dylect_sim_core::probe::{
 use dylect_sim_core::prof;
 use dylect_sim_core::snap::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
 use dylect_sim_core::stats::Counter;
-use dylect_sim_core::trace::{MemOp, OpBatch};
+use dylect_sim_core::trace::MemOp;
 use dylect_sim_core::{PhysAddr, Time, BLOCK_BYTES};
 
 use crate::tlb::{PageSizeMode, Tlb, TlbConfig, TlbOutcome};
@@ -252,28 +252,6 @@ impl Core {
         }
     }
 
-    /// Retires a whole batch of memory operations from a struct-of-arrays
-    /// [`OpBatch`] arena. Equivalent to calling [`Core::step`] once per op,
-    /// but the telemetry-enabled check is made once per batch instead of
-    /// once per op, and with a concrete backend type the full hierarchy walk
-    /// monomorphizes into one loop.
-    pub fn step_soa<B: MemoryBackend + ?Sized>(&mut self, ops: &OpBatch, backend: &mut B) {
-        if self.probe.is_enabled() {
-            for op in ops.iter() {
-                self.step_inner::<true, B>(op, backend);
-            }
-        } else {
-            // Retirement counters are linear in the batch contents, so they
-            // accumulate once per batch instead of three times per op.
-            self.stats.instructions.add(ops.total_instructions());
-            self.stats.mem_ops.add(ops.len() as u64);
-            self.stats.stores.add(ops.stores());
-            for op in ops.iter() {
-                self.step_core::<false, B>(op, backend);
-            }
-        }
-    }
-
     #[inline]
     fn step_inner<const PROBE: bool, B: MemoryBackend + ?Sized>(
         &mut self,
@@ -285,17 +263,6 @@ impl Core {
         if op.write {
             self.stats.stores.incr();
         }
-        self.step_core::<PROBE, B>(op, backend)
-    }
-
-    /// The retirement path shared by the per-op and batched loops:
-    /// everything in [`Core::step_inner`] except the retirement counters.
-    #[inline]
-    fn step_core<const PROBE: bool, B: MemoryBackend + ?Sized>(
-        &mut self,
-        op: MemOp,
-        backend: &mut B,
-    ) -> Time {
         let cycle = self.cycle;
         // Non-memory instructions retire at pipeline width.
         let work_ps = cycle.as_ps() * op.work as u64;

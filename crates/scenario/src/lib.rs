@@ -31,8 +31,8 @@
 //! `stream:`); `pressure@<op>=<pages>` raises every MC's free target by
 //! `<pages>` for one reclamation burst. Event offsets count retired ops
 //! from the start of the *measurement window*, must be positive
-//! multiples of [`EVENT_ALIGN_OPS`] (the execute paths' drain-batch
-//! size), and must be strictly increasing. Parsing is strict: garbage
+//! multiples of [`EVENT_ALIGN_OPS`] (the run loop's drain cadence), and
+//! must be strictly increasing. Parsing is strict: garbage
 //! anywhere is an error, never a silent default.
 //!
 //! Scenario runs inherit every determinism guarantee of the plain
@@ -46,10 +46,9 @@ use dylect_sim::{RunReport, SchemeKind, System, SystemConfig, TenantSummary};
 use dylect_sim_core::snap::SnapError;
 use dylect_workloads::{BenchmarkSpec, CompressionSetting, PhaseShift};
 
-/// Scenario event offsets must divide into the execute paths' drain
-/// batches (mirrors `dylect_sim_core::digest::WINDOW_ALIGN_OPS`), so
-/// batched and per-op execution hit event boundaries at identical
-/// points.
+/// Scenario event offsets must be multiples of the run loop's drain
+/// cadence (mirrors `dylect_sim_core::digest::WINDOW_ALIGN_OPS`), so
+/// every event lands on a drain and digest-window boundary.
 pub const EVENT_ALIGN_OPS: u64 = 256;
 
 /// One scheduled scenario event.
@@ -742,18 +741,11 @@ mod tests {
             ScenarioSpec::parse("tenants=omnetpp,canneal;phase@1024=theta:0.2;pressure@2048=128")
                 .expect("valid");
         let cfg = quick_config(&spec);
-        let digests = |jobs: usize| {
-            let mut sys = spec.build_system(cfg.clone());
-            sys.set_digest_window(1024);
-            sys.set_jobs(jobs);
-            let outcome = spec.run(&mut sys, 2_000, 5_000);
-            (outcome, sys.take_digests())
-        };
-        let (o1, d1) = digests(1);
-        let (o3, d3) = digests(3);
+        let mut sys = spec.build_system(cfg);
+        sys.set_digest_window(1024);
+        spec.run(&mut sys, 2_000, 5_000);
+        let digests = sys.take_digests();
         dylect_sim_core::digest::set_enabled(false);
-        assert_eq!(o1, o3, "worker count must not change a scenario run");
-        assert!(!d1.is_empty(), "windows were captured");
-        assert_eq!(d1, d3, "digest streams must agree across DYLECT_JOBS");
+        assert!(!digests.is_empty(), "windows were captured");
     }
 }

@@ -1,6 +1,6 @@
 //! `dylect-digest`: the state-digest audit trail.
 //!
-//! Every determinism guarantee this workspace makes — batched ≡ per-op,
+//! Every determinism guarantee this workspace makes — telemetry-on ≡ off,
 //! restore(n)+k ≡ n+k, prof-on ≡ prof-off — is pinned as byte-identical
 //! *final* output, which says **that** two runs diverged but not **where**.
 //! This module adds the "where": a rolling 64-bit digest of every mutable
@@ -40,9 +40,9 @@ use crate::snap::{SnapWriter, Snapshot};
 /// or [`crate::digest::set_window_ops`]).
 pub const DEFAULT_WINDOW_OPS: u64 = 1 << 20;
 
-/// Every window length must divide into the execute paths' 256-op drain
-/// batches, so batched and per-op execution cross window boundaries at
-/// identical points.
+/// Every window length must be a multiple of the run loop's 256-op drain
+/// cadence: the window clock ticks at drain boundaries, so only such
+/// windows close at their exact op count.
 pub const WINDOW_ALIGN_OPS: u64 = 256;
 
 static WINDOW: AtomicU64 = AtomicU64::new(DEFAULT_WINDOW_OPS);

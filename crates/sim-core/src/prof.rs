@@ -20,13 +20,13 @@
 //!   noise of BENCH_batched.json with `DYLECT_PROF` unset.
 //! - **<2% overhead when on.** At ~70 ns/op there is no budget for an
 //!   `Instant::now()` pair per retired op. The hot path is therefore timed
-//!   at batch granularity (exact scopes, a few per 256-op batch) and the
-//!   per-event model phases (cache hierarchy, scheme, DRAM, page walks)
+//!   coarsely (exact scopes per `execute` call and per writeback drain) and
+//!   the per-event model phases (cache hierarchy, scheme, DRAM, page walks)
 //!   are period-sampled ([`SAMPLE_PERIOD`]); [`report`] scales the sampled
 //!   sums back up into estimates.
 //! - **Mergeable across threads.** Accumulators are global atomics, so
-//!   drain-shard workers and runner workers record into the same registry
-//!   with no per-thread state to reconcile at the end.
+//!   every runner worker records into the same registry with no
+//!   per-thread state to reconcile at the end.
 //!
 //! Phases form a hierarchy, not a partition: `mem_access` covers the whole
 //! shared cache hierarchy and everything below it, so `scheme_access` and
@@ -41,13 +41,9 @@ use std::time::Instant;
 /// into the global registries.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum HostPhase {
-    /// `System::execute` batched path: workload batch generation.
-    BatchFill,
-    /// `System::execute` batched path: SoA core stepping.
-    BatchStep,
-    /// `System::execute` per-op path (telemetry or multi-core), whole call.
+    /// `System::execute` run loop, whole call.
     ExecutePerOp,
-    /// `SharedMemory::drain_pending`, whole call (all shards).
+    /// `SharedMemory::drain_pending`, whole call.
     DrainWriteback,
     /// Shared cache hierarchy and below (`MemoryBackend::access`), sampled.
     MemAccess,
@@ -72,7 +68,7 @@ pub enum HostPhase {
 }
 
 /// Number of phases; registries are `[_; NPHASES]` indexed by `idx()`.
-pub const NPHASES: usize = 14;
+pub const NPHASES: usize = 12;
 
 /// Sampling period for the per-event phases: one in `SAMPLE_PERIOD` events
 /// is timed; [`report`] multiplies the recorded sums back up.
@@ -81,8 +77,6 @@ pub const SAMPLE_PERIOD: u32 = 128;
 impl HostPhase {
     /// All phases in registry order.
     pub const ALL: [HostPhase; NPHASES] = [
-        HostPhase::BatchFill,
-        HostPhase::BatchStep,
         HostPhase::ExecutePerOp,
         HostPhase::DrainWriteback,
         HostPhase::MemAccess,
@@ -107,8 +101,6 @@ impl HostPhase {
     /// `dylect-stats` summary tables.
     pub fn name(self) -> &'static str {
         match self {
-            HostPhase::BatchFill => "batch_fill",
-            HostPhase::BatchStep => "batch_step",
             HostPhase::ExecutePerOp => "execute_per_op",
             HostPhase::DrainWriteback => "drain_writeback",
             HostPhase::MemAccess => "mem_access",
@@ -129,9 +121,7 @@ impl HostPhase {
     pub fn is_sampled(self) -> bool {
         matches!(
             self,
-            HostPhase::BatchFill
-                | HostPhase::BatchStep
-                | HostPhase::MemAccess
+            HostPhase::MemAccess
                 | HostPhase::SchemeAccess
                 | HostPhase::DramAccess
                 | HostPhase::TlbWalk
@@ -143,7 +133,8 @@ impl HostPhase {
 /// utilization is visible.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum WorkerKind {
-    /// Sharded writeback-drain workers (`SharedMemory::drain_pending`).
+    /// The writeback drain (`SharedMemory::drain_pending`), recorded as
+    /// worker 0.
     Drain,
     /// Runner job-pool workers (`Runner::run_jobs`).
     Runner,

@@ -56,10 +56,10 @@ impl MemOp {
 
 /// A reusable struct-of-arrays batch of memory operations.
 ///
-/// The simulator's batched run loop pre-generates a few hundred ops at a
-/// time into one of these arenas and retires them in a tight loop. The
-/// arrays are parallel (index `i` across all of them is one op); `clear`
-/// keeps the allocations, so steady-state batching never touches the heap.
+/// Workload generators fill one of these arenas a few hundred ops at a
+/// time (`SyntheticWorkload::fill_batch`). The arrays are parallel (index
+/// `i` across all of them is one op); `clear` keeps the allocations, so
+/// steady-state batching never touches the heap.
 #[derive(Clone, Debug, Default)]
 pub struct OpBatch {
     /// Virtual byte addresses.
@@ -125,17 +125,6 @@ impl OpBatch {
     /// Iterates over the ops in order.
     pub fn iter(&self) -> impl Iterator<Item = MemOp> + '_ {
         (0..self.len()).map(|i| self.get(i))
-    }
-
-    /// Total instructions represented by the batch (each op is itself one
-    /// instruction plus its preceding non-memory work).
-    pub fn total_instructions(&self) -> u64 {
-        self.len() as u64 + self.works.iter().map(|&w| w as u64).sum::<u64>()
-    }
-
-    /// Number of stores in the batch.
-    pub fn stores(&self) -> u64 {
-        self.flags.iter().map(|&f| (f & 1) as u64).sum()
     }
 }
 

@@ -40,9 +40,9 @@ struct McUnit {
     scheme: Box<dyn MemoryScheme>,
     dram: Dram,
     /// Dirty-line writebacks routed here but not yet applied. Multi-MC
-    /// configurations defer these to batch boundaries so independent MCs
-    /// can advance on worker threads (intra-run sharding); single-MC
-    /// configurations apply writebacks immediately and never queue.
+    /// configurations defer these to the run loop's drain boundaries;
+    /// single-MC configurations apply writebacks immediately and never
+    /// queue.
     pending: Vec<PendingWriteback>,
 }
 
@@ -54,32 +54,6 @@ struct PendingWriteback {
     now: Time,
     local: PhysAddr,
 }
-
-impl McUnit {
-    /// Applies this MC's queued writebacks in arrival order. Touches only
-    /// MC-local state, so distinct units can drain on distinct threads.
-    fn apply_pending(&mut self) {
-        for i in 0..self.pending.len() {
-            let pw = self.pending[i];
-            self.scheme.access(pw.now, pw.local, true, &mut self.dram);
-        }
-        self.pending.clear();
-    }
-}
-
-/// A disjoint chunk of MC units handed to one drain worker.
-///
-/// SAFETY: `McUnit` is not `Send` only because `Box<dyn MemoryScheme>` may
-/// hold a `ProbeHandle` (an `Rc` into the telemetry sink). The parallel
-/// drain runs exclusively when no probe was ever installed
-/// ([`SharedMemory::probes_installed`] is false), in which case every
-/// handle is the `None` variant and no `Rc` exists anywhere in the unit's
-/// object graph — the scheme crates themselves use no `Rc`/`RefCell`.
-/// Chunks are disjoint `&mut` slices moved into scoped threads that the
-/// parent joins before touching `mcs` again.
-struct McChunk<'a>(&'a mut [McUnit]);
-
-unsafe impl Send for McChunk<'_> {}
 
 /// Per-component digests of the shared memory side (see
 /// [`SharedMemory::component_digests`]).
@@ -110,11 +84,6 @@ pub struct SharedMemory {
     span_every: u64,
     demand_misses: u64,
     span_seq: u64,
-    /// Worker threads for [`SharedMemory::drain_pending`] (1 = in place).
-    jobs: usize,
-    /// Latched once any telemetry probe is installed; the parallel drain
-    /// is forbidden from then on (probe handles are thread-bound).
-    probes_installed: bool,
 }
 
 impl SharedMemory {
@@ -161,18 +130,7 @@ impl SharedMemory {
             span_every: 0,
             demand_misses: 0,
             span_seq: 0,
-            jobs: 1,
-            probes_installed: false,
         }
-    }
-
-    /// Sets the worker-thread count for [`SharedMemory::drain_pending`].
-    /// Purely an execution detail: the drain's observable effect is
-    /// invariant in `jobs` (each MC's queue applies in FIFO order against
-    /// MC-local state only, and statistics merge in MC-index order), so
-    /// any value produces byte-identical reports and exports.
-    pub fn set_jobs(&mut self, jobs: usize) {
-        self.jobs = jobs.max(1);
     }
 
     /// Number of memory controllers.
@@ -231,7 +189,6 @@ impl SharedMemory {
     /// called with each MC's index. Probes are observation-only and do not
     /// change simulated behavior.
     pub fn set_probes(&mut self, mut make: impl FnMut(u32) -> ProbeHandle) {
-        self.probes_installed = true;
         for (i, mc) in self.mcs.iter_mut().enumerate() {
             mc.scheme.set_probe(make(i as u32));
         }
@@ -251,7 +208,6 @@ impl SharedMemory {
     /// spans for every `span_every`-th demand L3-miss read. Pass a disabled
     /// handle to turn attribution back off.
     pub fn set_access_probe(&mut self, probe: ProbeHandle, span_every: u64) {
-        self.probes_installed = true;
         self.probe = probe;
         self.span_every = span_every;
         self.demand_misses = 0;
@@ -329,7 +285,7 @@ impl SharedMemory {
                 if self.mcs.len() > 1 {
                     // Multi-MC: queue on the victim's home MC. Writeback
                     // latency is off the critical path (the caller never
-                    // waits on it), so deferring to the next batch
+                    // waits on it), so deferring to the next drain
                     // boundary only delays MC state mutation.
                     let (idx, local) = self.route(addr);
                     self.mcs[idx].pending.push(PendingWriteback { now, local });
@@ -344,15 +300,10 @@ impl SharedMemory {
     }
 
     /// Applies all queued MC writebacks (multi-MC configurations only; a
-    /// single-MC hierarchy never queues). The run loop calls this at batch
-    /// boundaries and at the end of every execute window.
-    ///
-    /// With `jobs > 1` and no telemetry probes installed, the MC units
-    /// drain on scoped worker threads — each unit's queue touches only
-    /// that unit's scheme and DRAM, so threads share nothing. With probes
-    /// installed (or `jobs == 1`) the drain is sequential in MC order and
-    /// emits the usual writeback attribution records. Both paths apply
-    /// each queue in FIFO order, so the simulated outcome is identical.
+    /// single-MC hierarchy never queues). The run loop calls this at drain
+    /// boundaries and at the end of every execute window. Queues land in
+    /// MC order, each in FIFO order, and emit the usual writeback
+    /// attribution records when a probe is installed.
     pub fn drain_pending(&mut self) {
         let queued: usize = self.mcs.iter().map(|mc| mc.pending.len()).sum();
         if queued == 0 {
@@ -364,40 +315,6 @@ impl SharedMemory {
             self.mcs.len() as u64,
         );
         let _p = prof::scope(prof::HostPhase::DrainWriteback);
-        let workers = self.jobs.min(self.mcs.len());
-        // Spawning threads for a handful of writebacks costs more than the
-        // writebacks; small batches drain in place. Purely wall-clock —
-        // both paths land each queue in FIFO order.
-        const PARALLEL_DRAIN_MIN: usize = 32;
-        if workers > 1 && queued >= PARALLEL_DRAIN_MIN && !self.probes_installed {
-            let per = self.mcs.len().div_ceil(workers);
-            let prof_on = prof::enabled();
-            std::thread::scope(|scope| {
-                for (wid, chunk) in self.mcs.chunks_mut(per).map(McChunk).enumerate() {
-                    scope.spawn(move || {
-                        // Capture the whole wrapper (not its field) so the
-                        // closure's Send-ness comes from `McChunk`.
-                        let McChunk(units) = { chunk };
-                        // Per-worker busy time makes DYLECT_JOBS shard
-                        // balance visible; purely host-side bookkeeping.
-                        let start = prof_on.then(std::time::Instant::now);
-                        let mut items = 0u64;
-                        for mc in units {
-                            items += mc.pending.len() as u64;
-                            mc.apply_pending();
-                        }
-                        if let Some(start) = start {
-                            let busy = start.elapsed().as_nanos() as u64;
-                            prof::worker_busy(prof::WorkerKind::Drain, wid, busy, items);
-                        }
-                    });
-                }
-            });
-            return;
-        }
-        // The sequential path is the single drain "worker": recording it in
-        // the same registry keeps the utilization table meaningful at
-        // DYLECT_JOBS=1.
         let start = prof::enabled().then(std::time::Instant::now);
         let probe_on = self.probe.is_enabled();
         for idx in 0..self.mcs.len() {
@@ -426,7 +343,7 @@ impl SharedMemory {
 
     /// Appends the shared side's mutable state: the L3, shared statistics,
     /// each MC's scheme + DRAM + queued writebacks, and the span-sampling
-    /// counters. Execution knobs (`jobs`, probes, `span_every`) are
+    /// counters. Execution knobs (probes, `span_every`) are
     /// orchestration state the owner re-establishes, not snapshot content.
     /// Each MC's scheme name travels ahead of its state as an identity
     /// guard, so a snapshot from a different scheme mix fails loudly even
@@ -759,29 +676,22 @@ mod tests {
 
     #[test]
     fn parallel_drain_matches_sequential_drain() {
-        // Queue thousands of writebacks (well past PARALLEL_DRAIN_MIN) on
-        // four MCs and land them with one vs. three workers: every
-        // aggregated statistic must match exactly, because each MC's queue
-        // applies in FIFO order against MC-local state either way.
-        let run = |jobs: usize| {
-            let mut s = shared_multi(4);
-            s.set_jobs(jobs);
-            for i in 0..60_000u64 {
-                s.access(Time::ZERO, PhysAddr::new(i * 64), BackendOp::Writeback);
-            }
-            s.drain_pending();
-            assert!(
-                s.mcs.iter().all(|mc| mc.pending.is_empty()),
-                "drain left work queued"
-            );
-            (s.dram_stats(), s.mc_stats().requests.get())
-        };
-        let (seq_dram, seq_reqs) = run(1);
-        let (par_dram, par_reqs) = run(3);
-        assert!(seq_dram.writes.get() > 0, "no writebacks reached DRAM");
-        assert_eq!(seq_dram.writes.get(), par_dram.writes.get());
-        assert_eq!(seq_dram.reads.get(), par_dram.reads.get());
-        assert_eq!(seq_reqs, par_reqs);
+        // Thousands of writebacks queue on four MCs; one drain must land
+        // every queue in DRAM.
+        let mut s = shared_multi(4);
+        for i in 0..60_000u64 {
+            s.access(Time::ZERO, PhysAddr::new(i * 64), BackendOp::Writeback);
+        }
+        assert!(s.mcs.iter().all(|mc| !mc.pending.is_empty()));
+        s.drain_pending();
+        assert!(
+            s.mcs.iter().all(|mc| mc.pending.is_empty()),
+            "drain left work queued"
+        );
+        assert!(
+            s.dram_stats().writes.get() > 0,
+            "no writebacks reached DRAM"
+        );
     }
 
     #[test]

@@ -11,7 +11,6 @@ use dylect_sim_core::prof;
 use dylect_sim_core::snap::{
     read_header, write_header, Restore as _, SnapError, SnapReader, SnapWriter, Snapshot as _,
 };
-use dylect_sim_core::trace::OpBatch;
 use dylect_sim_core::Time;
 use dylect_telemetry::{SampleSnapshot, Telemetry, TelemetryConfig};
 use dylect_tmcc::{Tmcc, TmccConfig};
@@ -69,9 +68,6 @@ pub struct System {
     /// Instructions retired before the last stats reset, so the telemetry
     /// x-axis stays monotonic across the warmup/measurement boundary.
     instr_base: u64,
-    /// Reusable struct-of-arrays arena for the batched run loop; cleared
-    /// and refilled each batch so steady-state execution never allocates.
-    batch: OpBatch,
     /// Ops retired while digest capture was enabled — the digest-window
     /// clock. Not advanced (zero cost) with `DYLECT_DIGEST` off.
     digest_ops: u64,
@@ -89,10 +85,9 @@ pub struct System {
     perturb_fired: bool,
 }
 
-/// Ops generated and retired per batch on the fast path. Large enough to
-/// amortise the loop setup, small enough that the three parallel arrays
-/// (11 bytes/op) stay resident in L1.
-const BATCH_OPS: u64 = 256;
+/// Ops retired between landings of the queued multi-MC writebacks. Digest
+/// windows are ticked at the same boundaries.
+const DRAIN_OPS: u64 = 256;
 
 impl System {
     /// Builds the system of `config` running `spec`.
@@ -129,32 +124,7 @@ impl System {
 
         let shared =
             SharedMemory::new_multi(config.l3_bytes, config.l3_ways, config.l3_latency, mcs);
-        let cores = (0..config.cores)
-            .map(|_| Core::new(config.core, layout))
-            .collect();
-        let workloads = (0..config.cores)
-            .map(|i| spec.workload(config.scale, seed.wrapping_add(i as u64 * 7919)))
-            .collect();
-
-        System {
-            benchmark: spec.name.to_owned(),
-            tenant_names: vec![spec.name.to_owned(); config.cores],
-            config,
-            cores,
-            workloads,
-            shared,
-            measure_start: Time::ZERO,
-            telemetry: None,
-            ops_clock: None,
-            ops_in_epoch: 0,
-            instr_base: 0,
-            batch: OpBatch::with_capacity(BATCH_OPS as usize),
-            digest_ops: 0,
-            digest_window: digest::window_ops(),
-            digests: Vec::new(),
-            perturb_at: None,
-            perturb_fired: false,
-        }
+        Self::from_parts(config, spec, shared)
     }
 
     /// The page-table layout for one address space under `config`.
@@ -259,25 +229,8 @@ impl System {
             .map(|(i, t)| t.workload(config.scale, seed.wrapping_add(i as u64 * 7919)))
             .collect();
 
-        System {
-            benchmark,
-            tenant_names: tenants.iter().map(|t| t.name.to_owned()).collect(),
-            config,
-            cores,
-            workloads,
-            shared,
-            measure_start: Time::ZERO,
-            telemetry: None,
-            ops_clock: None,
-            ops_in_epoch: 0,
-            instr_base: 0,
-            batch: OpBatch::with_capacity(BATCH_OPS as usize),
-            digest_ops: 0,
-            digest_window: digest::window_ops(),
-            digests: Vec::new(),
-            perturb_at: None,
-            perturb_fired: false,
-        }
+        let names = tenants.iter().map(|t| t.name.to_owned()).collect();
+        Self::assemble(config, benchmark, names, cores, workloads, shared)
     }
 
     fn build_scheme(
@@ -348,10 +301,26 @@ impl System {
         let workloads = (0..config.cores)
             .map(|i| spec.workload(config.scale, config.seed.wrapping_add(i as u64 * 7919)))
             .collect();
+        let name = spec.name.to_owned();
+        let names = vec![name.clone(); config.cores];
+        Self::assemble(config, name, names, cores, workloads, shared)
+    }
+
+    /// The one place a [`System`] is put together: every constructor builds
+    /// its parts and hands them here, so each starts from the same
+    /// not-yet-run bookkeeping.
+    fn assemble(
+        config: SystemConfig,
+        benchmark: String,
+        tenant_names: Vec<String>,
+        cores: Vec<Core>,
+        workloads: Vec<SyntheticWorkload>,
+        shared: SharedMemory,
+    ) -> Self {
         System {
-            benchmark: spec.name.to_owned(),
-            tenant_names: vec![spec.name.to_owned(); config.cores],
             config,
+            benchmark,
+            tenant_names,
             cores,
             workloads,
             shared,
@@ -360,7 +329,6 @@ impl System {
             ops_clock: None,
             ops_in_epoch: 0,
             instr_base: 0,
-            batch: OpBatch::with_capacity(BATCH_OPS as usize),
             digest_ops: 0,
             digest_window: digest::window_ops(),
             digests: Vec::new(),
@@ -460,40 +428,18 @@ impl System {
 
     /// Executes `ops` memory operations across the cores, always stepping
     /// the core that is furthest behind in simulated time.
-    ///
-    /// With one core and telemetry off, ops are generated and retired in
-    /// [`BATCH_OPS`]-sized batches through a reusable struct-of-arrays
-    /// arena: the telemetry/probe checks hoist to once per batch and the
-    /// per-op loop stays branch-free. The batched path retires the exact
-    /// same op stream in the same order as the per-op path, so reports are
-    /// byte-identical either way.
     pub fn execute(&mut self, ops: u64) {
+        self.retire(ops, false);
+    }
+
+    /// The run loop behind [`System::execute`] and
+    /// [`System::execute_op_digests`]. Queued MC writebacks land every
+    /// [`DRAIN_OPS`] ops and once more at the end, so every caller leaves
+    /// the system quiescent. With `op_digests` each retired op captures a
+    /// digest record; otherwise the digest window ticks at each drain.
+    fn retire(&mut self, ops: u64, op_digests: bool) {
         if self.cores.is_empty() {
             // Nothing to run; `finish` reports an explicit empty run.
-            return;
-        }
-        if self.cores.len() == 1 && self.telemetry.is_none() {
-            let mut batch = std::mem::take(&mut self.batch);
-            let mut remaining = ops;
-            while remaining > 0 {
-                let n = remaining.min(BATCH_OPS);
-                // Sampled, not exact: these fire once per BATCH_OPS chunk,
-                // which is frequent enough that exact span retention alone
-                // would breach the <2% profiling budget.
-                {
-                    let _p = prof::sampled_scope(prof::HostPhase::BatchFill);
-                    self.workloads[0].fill_batch(&mut batch, n as usize);
-                }
-                {
-                    let _p = prof::sampled_scope(prof::HostPhase::BatchStep);
-                    self.cores[0].step_soa(&batch, &mut self.shared);
-                }
-                self.shared.drain_pending();
-                blackbox::record(blackbox::EventKind::BatchRetire, n, remaining - n);
-                self.digest_tick(n);
-                remaining -= n;
-            }
-            self.batch = batch;
             return;
         }
         // Host-profiling scope only: reads the wall clock, never writes
@@ -505,8 +451,6 @@ impl System {
             .telemetry
             .as_ref()
             .map_or(0, |t| t.config().epoch_ops.max(1));
-        // The per-op path lands queued MC writebacks on the same cadence
-        // as the batched path, so the two retire identical streams.
         let mut ops_since_drain = 0u64;
         for _ in 0..ops {
             let idx = self
@@ -519,11 +463,19 @@ impl System {
             let op = self.workloads[idx].next_op();
             self.cores[idx].step(op, &mut self.shared);
             ops_since_drain += 1;
-            if ops_since_drain >= BATCH_OPS {
+            if ops_since_drain >= DRAIN_OPS {
                 ops_since_drain = 0;
                 self.shared.drain_pending();
-                blackbox::record(blackbox::EventKind::BatchRetire, BATCH_OPS, 0);
-                self.digest_tick(BATCH_OPS);
+                blackbox::record(blackbox::EventKind::BatchRetire, DRAIN_OPS, 0);
+                if !op_digests {
+                    self.digest_tick(DRAIN_OPS);
+                }
+            }
+            if op_digests {
+                self.digest_ops += 1;
+                let n = self.digest_ops;
+                self.maybe_perturb(n);
+                self.capture_digest(n / self.digest_window, Some(n), n);
             }
             if epoch_ops > 0 {
                 if let Some(clock) = &self.ops_clock {
@@ -534,20 +486,21 @@ impl System {
                     self.ops_in_epoch = 0;
                     // No drain here: draining only when telemetry is on
                     // would let observation perturb simulated state. A
-                    // sample may read MC statistics up to one batch stale.
+                    // sample may read MC statistics up to one drain stale.
                     self.sample_telemetry();
                 }
             }
         }
         self.shared.drain_pending();
-        self.digest_tick(ops_since_drain);
+        if !op_digests {
+            self.digest_tick(ops_since_drain);
+        }
     }
 
     /// Advances the digest-window clock by `n` just-retired ops. Called at
-    /// every drain boundary (each ≤ [`BATCH_OPS`] ops) on both execute
-    /// paths, so batched and per-op runs cross window boundaries at
-    /// identical points. With `DYLECT_DIGEST` off the entire cost is the
-    /// one relaxed load in [`digest::enabled`].
+    /// every drain boundary (each ≤ [`DRAIN_OPS`] ops). With
+    /// `DYLECT_DIGEST` off the entire cost is the one relaxed load in
+    /// [`digest::enabled`].
     #[inline]
     fn digest_tick(&mut self, n: u64) {
         if n == 0 || !digest::enabled() {
@@ -569,12 +522,13 @@ impl System {
     /// Overrides this system's digest window length (ops between window-
     /// boundary captures). Normally inherited from [`digest::window_ops`]
     /// at construction; bisection harnesses and tests shrink it for
-    /// resolution. Must be a positive multiple of [`BATCH_OPS`] so both
-    /// execute paths cross boundaries at identical points.
+    /// resolution. Must be a positive multiple of [`DRAIN_OPS`]: the
+    /// window ticks at drain boundaries, so only such windows close at
+    /// their exact op count.
     pub fn set_digest_window(&mut self, ops: u64) {
         assert!(
-            ops > 0 && ops.is_multiple_of(BATCH_OPS),
-            "digest window must be a positive multiple of {BATCH_OPS}, got {ops}"
+            ops > 0 && ops.is_multiple_of(DRAIN_OPS),
+            "digest window must be a positive multiple of {DRAIN_OPS}, got {ops}"
         );
         self.digest_window = ops;
     }
@@ -582,8 +536,8 @@ impl System {
     /// Fires the test-only `DYLECT_DIGEST_PERTURB` divergence injector
     /// once this system's digest clock reaches the armed op index. Drain
     /// boundaries are the firing sites, so a perturbation index that is a
-    /// multiple of [`BATCH_OPS`] fires at the same retired-op count on
-    /// the batched, per-op, and op-replay paths.
+    /// multiple of [`DRAIN_OPS`] fires at the same retired-op count in
+    /// [`System::execute`] and in the op-level replay.
     fn maybe_perturb(&mut self, ops_retired: u64) {
         if self.perturb_fired {
             return;
@@ -651,48 +605,18 @@ impl System {
         self.perturb_fired = false;
     }
 
-    /// Executes `ops` memory operations per-op, capturing a full
+    /// Executes `ops` memory operations, capturing a full
     /// [`DigestRecord`] after **every** retired op — the bisection
     /// replay mode. `base_op` is the absolute retired-op count this call
     /// starts from (normally a window boundary the caller restored to),
     /// so record indices line up with the window stream of the original
     /// run. Retires the identical op stream as [`System::execute`]
-    /// (same drain cadence, same perturbation sites). Orders of magnitude
-    /// slower than `execute`; meant for replaying a single diverging
-    /// window, not full runs. Telemetry epoch sampling is not driven —
-    /// replay systems are built without telemetry.
+    /// (same loop, same drain cadence); the armed perturbation fires at
+    /// its exact op. Orders of magnitude slower than `execute`; meant for
+    /// replaying a single diverging window, not full runs.
     pub fn execute_op_digests(&mut self, ops: u64, base_op: u64) {
         self.digest_ops = base_op;
-        let mut ops_since_drain = 0u64;
-        for i in 0..ops {
-            let idx = self
-                .cores
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, c)| c.time())
-                .map(|(i, _)| i)
-                .expect("at least one core");
-            let op = self.workloads[idx].next_op();
-            self.cores[idx].step(op, &mut self.shared);
-            ops_since_drain += 1;
-            if ops_since_drain >= BATCH_OPS {
-                ops_since_drain = 0;
-                self.shared.drain_pending();
-            }
-            let n = base_op + i + 1;
-            self.digest_ops = n;
-            self.maybe_perturb(n);
-            self.capture_digest(n / self.digest_window, Some(n), n);
-        }
-        self.shared.drain_pending();
-    }
-
-    /// Sets the worker-thread count for intra-run sharding: with more than
-    /// one memory controller, queued writebacks drain on up to `jobs`
-    /// threads at batch boundaries (see [`SharedMemory::drain_pending`]).
-    /// Reports and exports are byte-identical for every value.
-    pub fn set_jobs(&mut self, jobs: usize) {
-        self.shared.set_jobs(jobs);
+        self.retire(ops, true);
     }
 
     /// Ends the warmup phase: clears every statistic and marks the start of
@@ -821,7 +745,7 @@ impl System {
     ///
     /// Call at a quiescent boundary (between [`System::execute`] windows;
     /// `execute` always drains in-flight MC writebacks before returning).
-    /// Execution knobs — warmup mode, worker count, probe installation —
+    /// Execution knobs — warmup mode, probe installation —
     /// are orchestration state: the restoring caller re-establishes them
     /// exactly as it would for a fresh run, then overlays this snapshot.
     /// `restore(snapshot_at(n))` followed by `execute(k)` is byte-identical
@@ -1218,6 +1142,11 @@ mod tests {
         let mut cfg = SystemConfig::quick(&spec(), SchemeKind::dylect(), CompressionSetting::High);
         cfg.cores = 0;
         let mut sys = System::new(cfg, &spec());
+        sys.execute_op_digests(1_000, 0);
+        assert!(
+            sys.take_digests().is_empty(),
+            "no op retired, none captured"
+        );
         let r = sys.run(1_000, 1_000);
         assert_eq!(r.instructions, 0);
         assert_eq!(r.mem_ops, 0);
@@ -1225,21 +1154,6 @@ mod tests {
         assert_eq!(r.ips(), 0.0, "no fabricated throughput");
         // The memory side still reports its (untouched) real state.
         assert!(r.occupancy.ml0_pages + r.occupancy.ml1_pages + r.occupancy.ml2_pages > 0);
-    }
-
-    #[test]
-    fn batched_and_per_op_paths_retire_identical_streams() {
-        // The single-core fast path must match what per-op stepping (forced
-        // here via telemetry, which disables batching) produces.
-        let r_batched = quick(SchemeKind::dylect()).run(5_000, 5_000);
-        let mut sys = quick(SchemeKind::dylect());
-        sys.enable_telemetry(dylect_telemetry::TelemetryConfig::default());
-        let r_per_op = sys.run(5_000, 5_000);
-        assert_eq!(r_batched.instructions, r_per_op.instructions);
-        assert_eq!(r_batched.mem_ops, r_per_op.mem_ops);
-        assert_eq!(r_batched.elapsed, r_per_op.elapsed);
-        assert_eq!(r_batched.mc, r_per_op.mc);
-        assert_eq!(r_batched.dram, r_per_op.dram);
     }
 
     #[test]
@@ -1479,24 +1393,23 @@ mod tests {
     fn digest_windows_agree_between_batched_and_per_op_paths() {
         let _g = digest_gate();
         digest::set_enabled(true);
-        // 3 full windows; multiples of BATCH_OPS so both paths tick at
-        // the same retired-op counts.
-        let mut batched = quick_digest(SchemeKind::dylect());
-        batched.run(4_096, 8_192);
-        let d_batched = batched.take_digests();
-        let mut per_op = quick_digest(SchemeKind::dylect());
-        per_op.enable_telemetry(dylect_telemetry::TelemetryConfig::default());
-        per_op.run(4_096, 8_192);
-        let d_per_op = per_op.take_digests();
+        // 3 full windows, with telemetry off and on.
+        let mut plain = quick_digest(SchemeKind::dylect());
+        plain.run(4_096, 8_192);
+        let d_plain = plain.take_digests();
+        let mut observed = quick_digest(SchemeKind::dylect());
+        observed.enable_telemetry(dylect_telemetry::TelemetryConfig::default());
+        observed.run(4_096, 8_192);
+        let d_observed = observed.take_digests();
         digest::set_enabled(false);
 
-        assert_eq!(d_batched.len(), 3, "12288 ops = 3 windows");
-        assert_eq!(d_batched.len(), d_per_op.len());
-        for (a, b) in d_batched.iter().zip(&d_per_op) {
+        assert_eq!(d_plain.len(), 3, "12288 ops = 3 windows");
+        assert_eq!(d_plain.len(), d_observed.len());
+        for (a, b) in d_plain.iter().zip(&d_observed) {
             assert_eq!(a.window, b.window);
             assert_eq!(a.ops_retired, b.ops_retired);
-            // Telemetry forces the per-op path, so that one component
-            // legitimately differs; every architectural component must not.
+            // The telemetry component legitimately differs; every
+            // architectural component must not.
             let strip = |r: &DigestRecord| {
                 r.components()
                     .into_iter()

@@ -915,7 +915,7 @@ mod tests {
     fn prof_rows_render_and_other_rows_do_not() {
         let rows = vec![
             parse_flat_object(
-                r#"{"prof_phase":"batch_step","kind":"exact","ns":1000,"calls":4,"est_ns":1000,"est_calls":4}"#,
+                r#"{"prof_phase":"execute_per_op","kind":"exact","ns":1000,"calls":4,"est_ns":1000,"est_calls":4}"#,
             )
             .unwrap(),
             parse_flat_object(

@@ -437,8 +437,8 @@ impl SyntheticWorkload {
     }
 
     /// Clears `batch` and generates the next `n` operations into it. The
-    /// batched run loop's generation phase: the arena's allocations are
-    /// reused, so this never allocates in steady state.
+    /// arena's allocations are reused, so this never allocates in steady
+    /// state.
     pub fn fill_batch(&mut self, batch: &mut OpBatch, n: usize) {
         batch.clear();
         for _ in 0..n {

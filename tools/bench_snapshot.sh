@@ -93,11 +93,10 @@ echo "bench_snapshot: wrote $SHADOW_OUT (shadow median $SHADOW_MEDIAN ns/iter, o
 # speedup over the frozen pre-batching baseline recorded in the committed
 # BENCH_shadow.json (the `baseline_median_ns_per_iter` field from the
 # last per-op-loop snapshot). The ratio carries the optimisation claim;
-# the sharded two-MC variants ride along for reference.
+# the two-MC variant rides along for reference.
 if [ -n "$FROZEN" ]; then
     SPEEDUP=$(awk -v f="$FROZEN" -v m="$MEDIAN" 'BEGIN { printf "%.2f", f / m }')
     MC_SEQ=$(parse "$(echo "$RAW" | grep 2mc_seq || true)" 2mc_seq)
-    MC_PAR=$(parse "$(echo "$RAW" | grep 2mc_jobs2 || true)" 2mc_jobs2)
     cat > "$BATCHED_OUT" <<JSON
 {
   "bench": "system_step_1000_ops",
@@ -106,7 +105,6 @@ if [ -n "$FROZEN" ]; then
   "frozen_baseline_ns_per_iter": $FROZEN,
   "speedup_vs_frozen_baseline": $SPEEDUP,
   "two_mc_sequential_ns_per_iter": ${MC_SEQ:-null},
-  "two_mc_two_jobs_ns_per_iter": ${MC_PAR:-null},
   "git_rev": "$GIT_REV"
 }
 JSON
@@ -141,7 +139,7 @@ cat > "$CHECKPOINT_OUT" <<JSON
 JSON
 echo "bench_snapshot: wrote $CHECKPOINT_OUT (restore median $RESTORE_MEDIAN ns/iter, +${RESTORE_OVERHEAD} ns over plain step)"
 
-# Self-profile snapshot: `system_step_1000_prof` is the plain batched step
+# Self-profile snapshot: `system_step_1000_prof` is the plain step
 # loop with the host profiler armed, measured against an interleaved
 # prof-off baseline from the same bench (drift-cancelling pairs; the
 # bench prints the paired overhead as a `prof_overhead_pct` line). The
@@ -173,7 +171,7 @@ $PHASES
 JSON
 echo "bench_snapshot: wrote $PROF_OUT (prof median $PROF_MEDIAN ns/iter, overhead ${PROF_OVERHEAD}%)"
 
-# State-digest snapshot: `system_step_1000_digest` is the batched step
+# State-digest snapshot: `system_step_1000_digest` is the plain step
 # loop with the digest window clock armed at the default window length,
 # against an interleaved digest-off baseline (each on-side sample spans
 # more than one window, so the median includes the amortized full-state

@@ -79,10 +79,10 @@ for f in "$SMOKE"/shadow-a/*.trace.json; do
 done
 echo "shadow smoke: OK"
 
-echo "== sharding smoke: worker count leaves the multi-MC ablation byte-identical"
-# The multi-MC ablation sweeps 1/2/4 controllers, so DYLECT_JOBS>1 drains
-# independent MCs on worker threads *within* each run. Worker count is an
-# execution detail; the emitted table must not change by a byte.
+echo "== sharding smoke: runner worker count leaves the multi-MC ablation byte-identical"
+# The multi-MC ablation sweeps 1/2/4 controllers, each run queuing
+# writebacks per MC. DYLECT_JOBS only sizes the runner's pool of
+# independent runs; the emitted table must not change by a byte.
 DYLECT_QUICK=1 DYLECT_JOBS=1 DYLECT_NO_CACHE=1 \
     cargo run -q --offline --release -p dylect-bench \
     --bin ablation_multimc > "$SMOKE/multimc-seq.tsv"
